@@ -18,7 +18,6 @@
 #include "sim/arrivals.h"
 #include "sim/engine.h"
 #include "storage/catalog.h"
-#include "util/logging.h"
 #include "util/table.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
@@ -63,7 +62,6 @@ struct StandardConfig {
 };
 
 inline Standard BuildStandard(const StandardConfig& config = {}) {
-  Logger::SetLevel(LogLevel::kWarn);
   Standard s;
 
   workload::CatalogGenConfig gen;

@@ -35,17 +35,13 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   system->evaluator_ = std::make_unique<join::JoinEvaluator>(
       system->cache_.get(), system->catalog_->index(),
       storage::DiskModel(options.disk), options.hybrid);
-  system->evaluator_->set_use_match_arenas(options.match_arenas);
-  system->evaluator_->set_use_io_arenas(options.io_arenas);
   system->evaluator_->set_topology(system->topology_.get());
   if (options.num_threads > 1) {
     system->pool_ = std::make_unique<util::ThreadPool>(options.num_threads);
     system->evaluator_->set_thread_pool(system->pool_.get());
-    system->cache_->set_thread_pool(system->pool_.get());
   }
   system->manager_ = std::make_unique<query::WorkloadManager>(
       system->catalog_->num_buckets());
-  system->manager_->set_use_restore_arena(options.io_arenas);
 
   sched::LifeRaftConfig sched_config;
   sched_config.alpha = options.alpha;

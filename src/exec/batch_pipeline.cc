@@ -4,10 +4,19 @@
 #include <cassert>
 
 #include "join/hybrid.h"
-#include "storage/async_io.h"
 #include "storage/bucket.h"
 
 namespace liferaft::exec {
+namespace {
+
+/// A completed read as the cache's claim entry takes it.
+Result<std::shared_ptr<const storage::Bucket>> BucketOf(
+    storage::AsyncReadCompletion& read) {
+  if (!read.status.ok()) return read.status;
+  return std::move(read.bucket);
+}
+
+}  // namespace
 
 BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
                              query::WorkloadManager* manager,
@@ -46,31 +55,38 @@ BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
           std::make_unique<PrefetchController>(config_.controller);
     }
   }
+  // Every read goes through one reader. Modeled mode without prefetching
+  // never reads outside the evaluator, and a store without concurrent
+  // reads cannot serve a reader: its bets resolve to kUnimplemented at
+  // claim, which the cache degrades to a plain miss.
+  const bool reads = config_.real_io || config_.enable_prefetch ||
+                     config_.adaptive_prefetch;
+  if (reads && cache_->store().SupportsConcurrentReads()) {
+    reader_ = cache_->mutable_store()->NewAsyncReader(topology_);
+  }
 }
 
 sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) const {
   return [this, now](storage::BucketIndex b) {
     if (cache_->Contains(b)) return true;
-    // A prefetched bucket whose modeled fetch has completed is as good as
-    // resident for the metric's phi term. A bucket only ever bets on its
-    // own arm, but scanning every arm keeps the probe independent of the
-    // placement map.
+    // A bet that has landed is as good as resident for the metric's phi
+    // term. A bucket only ever bets on its own arm, but scanning every arm
+    // keeps the probe independent of the placement map.
     for (const Arm& arm : arms_) {
       for (const PendingPrefetch& p : arm.bets) {
-        if (p.bucket == b && p.done_ms <= now) return true;
+        if (p.bucket == b && BetLanded(p, now)) return true;
       }
     }
     return false;
   };
 }
 
-bool BatchPipeline::WillScan(storage::BucketIndex bucket,
-                             uint64_t queue_objects) const {
+bool BatchPipeline::Scans(storage::BucketIndex bucket, uint64_t queue_objects,
+                          bool cached) const {
   if (evaluator_->index() == nullptr) return true;
   return join::ChooseStrategy(evaluator_->hybrid_config(), queue_objects,
                               cache_->store().BucketObjectCount(bucket),
-                              /*bucket_cached=*/true) ==
-         join::JoinStrategy::kScan;
+                              cached) == join::JoinStrategy::kScan;
 }
 
 size_t BatchPipeline::pending_prefetches() const {
@@ -86,8 +102,96 @@ std::vector<storage::VolumeIoStats> BatchPipeline::volume_stats() const {
   return stats;
 }
 
+uint64_t BatchPipeline::SubmitRead(storage::BucketIndex b) {
+  if (reader_ == nullptr) return 0;
+  const uint64_t ticket = reader_->SubmitRead(
+      b, [this](const storage::AsyncReadCompletion& c) {
+        // A forgotten (dropped) read's late completion finds no entry.
+        auto it = reads_.find(c.ticket);
+        if (it != reads_.end()) it->second = c;
+      });
+  reads_.emplace(ticket, std::nullopt);
+  return ticket;
+}
+
+storage::AsyncReadCompletion BatchPipeline::AwaitRead(uint64_t ticket,
+                                                      TimeMs* waited_ms) {
+  const TimeMs t0 = wall_.NowMs();
+  storage::AsyncReadCompletion done;
+  done.status = ticket == 0 ? Status::Unimplemented(
+                                  "store does not support prefetch reads")
+                            : Status::Internal("read lost by the reader");
+  // Callbacks only fill existing entries, so `it` stays valid across
+  // Wait(). Wait() parks until ANY completion arrives; completions of
+  // other reads delivered along the way are the overlap real mode
+  // measures. The in_flight guard breaks a (should-be-impossible) wait on
+  // a read the queues no longer know about.
+  auto it = reads_.find(ticket);
+  if (it != reads_.end()) {
+    while (!it->second.has_value()) {
+      if (reader_->Wait() == 0 && reader_->in_flight() == 0) break;
+    }
+    if (it->second.has_value()) done = std::move(*it->second);
+    reads_.erase(it);
+  }
+  *waited_ms = wall_.NowMs() - t0;
+  return done;
+}
+
+bool BatchPipeline::BetLanded(const PendingPrefetch& p, TimeMs now) const {
+  if (!config_.real_io) return p.done_ms <= now;
+  auto it = reads_.find(p.ticket);
+  return it != reads_.end() && it->second.has_value() &&
+         it->second->status.ok();
+}
+
+BatchPipeline::FetchCharge BatchPipeline::ChargeClaim(
+    const PendingPrefetch& p, TimeMs now,
+    const storage::AsyncReadCompletion& read, TimeMs waited_ms,
+    Arm& arm) const {
+  FetchCharge charge;
+  if (config_.real_io) {
+    // The measured wait is the residual; latency the read spent while
+    // earlier steps computed is what the bet hid.
+    charge.residual_ms = waited_ms;
+    charge.hidden_ms = std::max(0.0, read.latency_ms - waited_ms);
+    arm.stats.busy_ms += read.latency_ms;
+    return charge;
+  }
+  // At depth > 1 a bet can still be queued behind its disk arm when its
+  // bucket comes up (modeled residual >= its full T_b); waiting out that
+  // whole queue would cost more than a plain foreground read, so the
+  // charge is capped at T_b — as if the arm preempted the backlog and
+  // fetched the bucket fresh — while the claim still reuses the physical
+  // read. A capped claim hides nothing. (At depth 1 the residual is at
+  // most T_b minus the previous batch's matching time, so the cap never
+  // binds and the single-bet pipeline's accounting is reproduced
+  // exactly.)
+  charge.residual_ms = std::min(std::max(0.0, p.done_ms - now), p.fetch_ms);
+  charge.hidden_ms = p.fetch_ms - charge.residual_ms;
+  return charge;
+}
+
+uint64_t BatchPipeline::DropBet(const PendingPrefetch& p) {
+  uint64_t wasted = 0;
+  if (config_.real_io) {
+    auto it = reads_.find(p.ticket);
+    if (it != reads_.end() && it->second.has_value() &&
+        it->second->status.ok()) {
+      wasted = it->second->bytes;
+    }
+  } else if (p.ticket != 0) {
+    // Deterministic: the bet is charged as fetched whether or not its
+    // worker has got to it yet.
+    wasted = cache_->store().ModeledBucketBytes(p.bucket,
+                                                /*charge_encoded=*/false);
+  }
+  reads_.erase(p.ticket);  // its late completion is discarded
+  cache_->RecordPrefetchDropped(wasted);
+  return wasted;
+}
+
 Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
-  if (async_reader_ != nullptr) return StepReal(now);
   // Adaptive mode reads each arm's depth from its controller (0 = off for
   // now) and always drops bets that leave the prediction window — the
   // drop doubles as that arm's controller's mispredict signal.
@@ -99,6 +203,10 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // trailing entry, when present) never carries bets.
   const size_t volumes = bucket_volumes_;
   std::vector<PrefetchFeedback> feedback(volumes);
+
+  // Deliver whatever the queues finished since the last step, so the real
+  // backend's probe sees landed bets (the modeled probe ignores them).
+  if (reader_ != nullptr) reader_->Poll();
 
   const sched::CacheProbe cached = MakeCacheProbe(now);
   std::optional<storage::BucketIndex> pick =
@@ -112,50 +220,56 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   uint64_t restored_bytes = 0;
   std::vector<query::WorkloadEntry> entries =
       manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
+  uint64_t queue_objects = 0;
+  for (const query::WorkloadEntry& e : entries) {
+    queue_objects += e.objects.size();
+  }
 
   // Claim the outstanding bet on this bucket if the batch is the one it
-  // bet on: the bucket becomes resident (the evaluator sees a hit,
-  // charging no T_b) and the clock is charged only the un-hidden tail of
-  // the fetch. A bet on a different bucket stays pinned until its bucket
+  // bet on: the read is installed in the cache (the evaluator sees a hit,
+  // charging no T_b) and the step is charged only the un-hidden part of
+  // the fetch. A bet on a different bucket stays queued until its bucket
   // is scheduled (or, under cancel_on_mispredict, until it leaves the
   // prediction window below). Claim only when the evaluator will actually
-  // scan — an index-probing batch would never touch the fetched bucket.
-  // At depth > 1 a bet can still be queued behind its disk arm when its
-  // bucket comes up (modeled residual >= its full T_b); waiting out that
-  // whole queue would cost more than a plain foreground read, so the
-  // charge is capped at T_b — as if the arm preempted the backlog and
-  // fetched the bucket fresh — while the claim still reuses the physical
-  // read. A capped claim hides nothing. (At depth 1 the residual is at
-  // most T_b minus the previous batch's matching time, so the cap never
-  // binds and PR 2 accounting is reproduced exactly.) A bucket bets only
-  // on its own arm, so only pick_arm's queue can hold the bet.
+  // scan — an index-probing batch would never touch the fetched bucket. A
+  // bucket bets only on its own arm, so only pick_arm's queue can hold
+  // the bet.
   auto bet = std::find_if(
       pick_arm.bets.begin(), pick_arm.bets.end(),
       [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet != pick_arm.bets.end()) {
-    uint64_t queue_objects = 0;
-    for (const query::WorkloadEntry& e : entries) {
-      queue_objects += e.objects.size();
-    }
-    if (WillScan(*pick, queue_objects)) {
-      outcome.fetch_residual_ms =
-          std::min(std::max(0.0, bet->done_ms - now), bet->fetch_ms);
-      const TimeMs hidden = bet->fetch_ms - outcome.fetch_residual_ms;
-      prefetch_hidden_ms_ += hidden;
-      pick_arm.stats.hidden_ms += hidden;
-      ++pick_arm.stats.prefetch_claims;
-      ++feedback[outcome.volume].claims;
-      feedback[outcome.volume].hidden_ms += hidden;
-      // A capped claim (residual == full fetch) reused the physical read
-      // but hid nothing — the bet was queued too deep: stale by depth.
-      if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-      LIFERAFT_RETURN_IF_ERROR(cache_->Get(*pick).status());
-      pick_arm.bets.erase(bet);
-    }
+  if (bet != pick_arm.bets.end() &&
+      Scans(*pick, queue_objects, /*cached=*/true)) {
+    const PendingPrefetch claimed = *bet;
+    pick_arm.bets.erase(bet);
+    TimeMs waited_ms = 0.0;
+    storage::AsyncReadCompletion read = AwaitRead(claimed.ticket, &waited_ms);
+    const FetchCharge charge =
+        ChargeClaim(claimed, now, read, waited_ms, pick_arm);
+    outcome.fetch_residual_ms = charge.residual_ms;
+    prefetch_hidden_ms_ += charge.hidden_ms;
+    pick_arm.stats.hidden_ms += charge.hidden_ms;
+    ++pick_arm.stats.prefetch_claims;
+    ++feedback[outcome.volume].claims;
+    feedback[outcome.volume].hidden_ms += charge.hidden_ms;
+    // A capped claim (residual == full fetch) reused the physical read
+    // but hid nothing — the bet was queued too deep: stale by depth.
+    if (charge.hidden_ms <= 0.0) ++feedback[outcome.volume].stale_claims;
+    LIFERAFT_RETURN_IF_ERROR(
+        cache_->Claim(*pick, BucketOf(read), /*bet=*/true).status());
   }
 
-  // Predict the next picks and start their physical reads now, overlapping
-  // the join below; their modeled fetch times are assigned after the
+  // Real backend: an uncached scan is a foreground read on the same
+  // submission queue as the bets, so it physically serializes behind them
+  // on the bucket's own volume. Submitted now, awaited after the new bets
+  // below are issued.
+  uint64_t foreground_ticket = 0;
+  if (config_.real_io && !cache_->Contains(*pick) &&
+      Scans(*pick, queue_objects, /*cached=*/false)) {
+    foreground_ticket = SubmitRead(*pick);
+  }
+
+  // Predict the next picks and start their reads now, overlapping the
+  // join below; their modeled fetch times are assigned after the
   // evaluation, when this batch's disk phase is known. The prediction is
   // refreshed every live step — the window drives stale-bet cancelation
   // and eviction protection, and a stale window would protect yesterday's
@@ -165,7 +279,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // mispredict just because the window got smaller) and (b) to surface
   // candidates for EVERY arm, so an arm the front of the prediction does
   // not touch still gets its fetches started.
-  std::vector<std::vector<storage::BucketIndex>> newly_predicted(volumes);
+  std::vector<std::vector<PendingPrefetch>> issued(volumes);
   if (prefetch_on) {
     std::vector<size_t> want(volumes);
     for (size_t v = 0; v < volumes; ++v) {
@@ -184,16 +298,15 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
       last_window_ = predicted;
     }
     if (drop_stale) {
-      // Drop bets that fell out of the prediction window: unpin so the
-      // cache may evict them. The arm time already modeled for them is
-      // not refunded — the bet was placed and lost — and any bytes the
-      // dropped bet had physically fetched are charged to its arm's
+      // Drop bets that fell out of the prediction window. The arm time
+      // already modeled for them is not refunded — the bet was placed and
+      // lost — and the bytes it is charged as fetching go to its arm's
       // controller as waste.
       for (size_t v = 0; v < volumes; ++v) {
         for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
           if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
               predicted.end()) {
-            feedback[v].wasted_bytes += cache_->CancelPrefetch(it->bucket);
+            feedback[v].wasted_bytes += DropBet(*it);
             it = arms_[v].bets.erase(it);
             ++feedback[v].cancels;
           } else {
@@ -206,7 +319,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // service order so each arm's queue stays in that order.
     for (storage::BucketIndex b : predicted) {
       const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() + newly_predicted[v].size() >=
+      if (arms_[v].bets.size() + issued[v].size() >=
           current_prefetch_depth(v)) {
         continue;
       }
@@ -215,31 +328,88 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
           arms_[v].bets.begin(), arms_[v].bets.end(),
           [&](const PendingPrefetch& p) { return p.bucket == b; });
       if (already_queued) continue;
-      (void)cache_->PrefetchAsync(b);
-      newly_predicted[v].push_back(b);
+      cache_->RecordPrefetchIssued();
+      issued[v].push_back(PendingPrefetch{b, SubmitRead(b)});
     }
   }
-
-  Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
-  if (!evaluated.ok()) {
-    // The bets issued above are not in any arm's queue yet (their modeled
-    // times need this batch's disk phase); cancel them before surfacing
-    // the error so no pin or inflight read is orphaned.
-    for (const std::vector<storage::BucketIndex>& arm_new : newly_predicted) {
-      for (storage::BucketIndex b : arm_new) cache_->CancelPrefetch(b);
+  // On an error below, the bets just issued are in no arm's queue yet:
+  // drop them so no read is orphaned.
+  auto drop_issued = [&] {
+    for (const std::vector<PendingPrefetch>& arm_issued : issued) {
+      for (const PendingPrefetch& p : arm_issued) DropBet(p);
     }
+  };
+
+  std::shared_ptr<const storage::Bucket> foreground;
+  if (foreground_ticket != 0) {
+    TimeMs waited_ms = 0.0;
+    storage::AsyncReadCompletion read =
+        AwaitRead(foreground_ticket, &waited_ms);
+    outcome.fetch_residual_ms = waited_ms;
+    pick_arm.stats.busy_ms += read.latency_ms;
+    ++pick_arm.stats.foreground_reads;
+    pick_arm.stats.foreground_bytes += read.bytes;
+    // Counted as the miss the evaluator would have counted; the evaluator
+    // then scans it as uncached without touching the cache again.
+    Result<std::shared_ptr<const storage::Bucket>> installed =
+        cache_->Claim(*pick, BucketOf(read), /*bet=*/false);
+    if (!installed.ok()) {
+      drop_issued();
+      return installed.status();
+    }
+    foreground = std::move(*installed);
+  }
+
+  Result<join::BatchResult> evaluated = evaluator_->EvaluateBucket(
+      *pick, entries, config_.collect_matches, std::move(foreground));
+  if (!evaluated.ok()) {
+    drop_issued();
     return evaluated.status();
   }
   join::BatchResult result = std::move(*evaluated);
-  const storage::DiskModel& model = evaluator_->disk_model();
-  // Fetching spilled workload segments back from disk is sequential I/O —
-  // part of this batch's disk phase, so it also delays a prefetch's start
-  // on the batch's arm. The spill file is run-scoped scratch, costed with
-  // the default (evaluator) model rather than any volume's.
+  // Fetching spilled workload segments back from disk is sequential I/O.
+  // The spill file is run-scoped scratch, costed with the default
+  // (evaluator) model rather than any volume's. In real mode the restore
+  // happened physically inside TakeBucket and the driver's wall clock
+  // already contains it; the modeled price is kept as telemetry.
   outcome.restore_ms =
-      restored_bytes > 0 ? model.SequentialReadMs(restored_bytes) : 0.0;
+      restored_bytes > 0
+          ? evaluator_->disk_model().SequentialReadMs(restored_bytes)
+          : 0.0;
 
+  if (config_.real_io) {
+    // The physical queues are the arm serialization: bets only need their
+    // queue order.
+    for (size_t v = 0; v < volumes; ++v) {
+      for (const PendingPrefetch& p : issued[v]) arms_[v].bets.push_back(p);
+      arms_[v].stats.prefetch_issued += issued[v].size();
+    }
+  } else {
+    ChargeModeledArms(now, outcome, result, restored_bytes, issued);
+  }
+
+  outcome.strategy = result.strategy;
+  outcome.cache_hit = result.cache_hit;
+  outcome.cost_ms = result.cost_ms;
+  outcome.io_ms = result.io_ms;
+  outcome.cpu_ms = result.cpu_ms;
+  outcome.counters = result.counters;
+  outcome.matches = std::move(result.matches);
+  // Feed every arm's controller exactly once per completed step — steps
+  // that resolved none of an arm's bets still advance its probe and
+  // adjustment timers.
+  for (size_t v = 0; v < volumes; ++v) {
+    if (arms_[v].controller != nullptr) {
+      arms_[v].controller->Observe(feedback[v]);
+    }
+  }
+  return std::optional<StepOutcome>(std::move(outcome));
+}
+
+void BatchPipeline::ChargeModeledArms(
+    TimeMs now, const StepOutcome& outcome, const join::BatchResult& result,
+    uint64_t restored_bytes,
+    const std::vector<std::vector<PendingPrefetch>>& issued) {
   // Independent arms: bets still in flight on the batch's own arm yield
   // that arm to the foreground I/O — their completion slips by however
   // long the arm was busy here — while bets on other arms run concurrently
@@ -261,6 +431,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // driver's clock — is charged identically), but the bucket arm frees as
   // soon as its own scan I/O ends, so bets neither slip by the restore
   // nor queue new fetches behind it.
+  Arm& pick_arm = arms_[outcome.volume];
   const bool restore_on_spill_arm =
       outcome.restore_ms > 0.0 && arms_.size() > bucket_volumes_;
   const TimeMs unanticipated_disk_ms =
@@ -272,7 +443,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
       restore_on_spill_arm
           ? now + outcome.fetch_residual_ms + result.io_ms
           : foreground_done_ms;
-  for (size_t v = 0; v < volumes; ++v) {
+  for (size_t v = 0; v < bucket_volumes_; ++v) {
     Arm& arm = arms_[v];
     TimeMs arm_free_ms = v == outcome.volume ? pick_arm_done_ms : now;
     for (PendingPrefetch& p : arm.bets) {
@@ -282,14 +453,15 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
       }
       arm_free_ms = std::max(arm_free_ms, p.done_ms);
     }
-    for (storage::BucketIndex b : newly_predicted[v]) {
+    for (PendingPrefetch p : issued[v]) {
       const uint64_t bytes = cache_->store().ModeledBucketBytes(
-          b, config_.charge_encoded_bytes);
-      const TimeMs fetch_ms = ModelFor(b).SequentialReadMs(bytes);
-      arm_free_ms += fetch_ms;
-      arm.bets.push_back(PendingPrefetch{b, arm_free_ms, fetch_ms});
+          p.bucket, config_.charge_encoded_bytes);
+      p.fetch_ms = ModelFor(p.bucket).SequentialReadMs(bytes);
+      arm_free_ms += p.fetch_ms;
+      p.done_ms = arm_free_ms;
+      arm.bets.push_back(p);
       ++arm.stats.prefetch_issued;
-      arm.stats.busy_ms += fetch_ms;
+      arm.stats.busy_ms += p.fetch_ms;
     }
     arm.stats.busy_until_ms = std::max(arm.stats.busy_until_ms, arm_free_ms);
   }
@@ -304,7 +476,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   if (result.strategy == join::JoinStrategy::kScan && !result.cache_hit) {
     ++pick_arm.stats.foreground_reads;
     pick_arm.stats.foreground_bytes += cache_->store().ModeledBucketBytes(
-        *pick, config_.charge_encoded_bytes);
+        outcome.bucket, config_.charge_encoded_bytes);
   }
   if (restore_on_spill_arm) {
     // The restore occupies the spill arm from the end of the batch's scan
@@ -319,243 +491,16 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     spill.stats.busy_until_ms =
         std::max(spill.stats.busy_until_ms, foreground_done_ms);
   }
-
-  outcome.strategy = result.strategy;
-  outcome.cache_hit = result.cache_hit;
-  outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
-  outcome.counters = result.counters;
-  outcome.matches = std::move(result.matches);
-  // Feed every arm's controller exactly once per completed step — steps
-  // that resolved none of an arm's bets still advance its probe and
-  // adjustment timers.
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
-  return std::optional<StepOutcome>(std::move(outcome));
-}
-
-void BatchPipeline::SubmitRealBet(storage::BucketIndex b) {
-  // The completion callback runs on THIS thread, inside the reader's
-  // Poll()/Wait() — never concurrently — so real_bets_ needs no lock. The
-  // ticket check drops a late completion whose bet was already canceled
-  // (and possibly resubmitted under the same bucket index).
-  const uint64_t ticket = async_reader_->SubmitRead(
-      b, [this](const storage::AsyncReadCompletion& c) {
-        auto it = real_bets_.find(c.index);
-        if (it == real_bets_.end() || it->second.ticket != c.ticket) return;
-        it->second.completed = true;
-        it->second.status = c.status;
-        it->second.bucket = c.bucket;
-        it->second.latency_ms = c.latency_ms;
-        it->second.bytes = c.bytes;
-      });
-  RealBet slot;
-  slot.ticket = ticket;
-  real_bets_[b] = std::move(slot);
-}
-
-TimeMs BatchPipeline::WaitForRealBet(storage::BucketIndex b) {
-  const TimeMs t0 = wall_.NowMs();
-  for (;;) {
-    auto it = real_bets_.find(b);
-    if (it == real_bets_.end() || it->second.completed) break;
-    // Wait() parks until ANY completion arrives; completions for other
-    // arms' bets delivered along the way are the overlap this mode
-    // measures. The in_flight guard breaks a (should-be-impossible)
-    // wait on a bet the queues no longer know about.
-    if (async_reader_->Wait() == 0 && async_reader_->in_flight() == 0) break;
-  }
-  return wall_.NowMs() - t0;
-}
-
-Result<std::optional<StepOutcome>> BatchPipeline::StepReal(TimeMs now) {
-  // The measured-time twin of Step: the same pick → prefetch → claim →
-  // evaluate loop, but bets are REAL reads on the per-volume submission
-  // queues and every I/O charge below is a wall-clock measurement, not
-  // DiskModel arithmetic. There are no modeled arm clocks to maintain —
-  // the physical queues ARE the arm serialization — so the whole
-  // done_ms/slip block of the modeled path has no counterpart here.
-  const bool prefetch_on =
-      config_.enable_prefetch || config_.adaptive_prefetch;
-  const bool drop_stale =
-      config_.cancel_on_mispredict || config_.adaptive_prefetch;
-  const size_t volumes = bucket_volumes_;
-  std::vector<PrefetchFeedback> feedback(volumes);
-
-  // Harvest whatever the queues finished since the last step so the
-  // residency probe sees completed bets.
-  async_reader_->Poll();
-
-  const sched::CacheProbe cached = [this](storage::BucketIndex b) {
-    if (cache_->Contains(b)) return true;
-    auto it = real_bets_.find(b);
-    return it != real_bets_.end() && it->second.completed &&
-           it->second.status.ok();
-  };
-  std::optional<storage::BucketIndex> pick =
-      scheduler_->PickBucket(*manager_, now, cached);
-  if (!pick.has_value()) return std::optional<StepOutcome>{};
-
-  StepOutcome outcome;
-  outcome.bucket = *pick;
-  outcome.volume = VolumeOf(*pick);
-  Arm& pick_arm = arms_[outcome.volume];
-  uint64_t restored_bytes = 0;
-  std::vector<query::WorkloadEntry> entries =
-      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
-
-  uint64_t queue_objects = 0;
-  for (const query::WorkloadEntry& e : entries) {
-    queue_objects += e.objects.size();
-  }
-  const bool will_scan = WillScan(*pick, queue_objects);
-
-  // Claim the bet on this bucket: block until its read completes (the
-  // measured wait is the step's fetch residual), hand the bucket to the
-  // cache so the evaluator sees a hit. Latency already hidden behind
-  // earlier steps' compute is the claim's hidden time.
-  auto bet_it = std::find_if(
-      pick_arm.bets.begin(), pick_arm.bets.end(),
-      [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet_it != pick_arm.bets.end() && will_scan) {
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet bet = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    pick_arm.bets.erase(bet_it);  // callbacks never touch arm queues
-    if (!bet.status.ok()) return bet.status;
-    cache_->Put(*pick, bet.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*bet.bucket);
-    outcome.fetch_residual_ms = waited;
-    const TimeMs hidden = std::max(0.0, bet.latency_ms - waited);
-    prefetch_hidden_ms_ += hidden;
-    pick_arm.stats.hidden_ms += hidden;
-    pick_arm.stats.busy_ms += bet.latency_ms;
-    ++pick_arm.stats.prefetch_claims;
-    ++feedback[outcome.volume].claims;
-    feedback[outcome.volume].hidden_ms += hidden;
-    if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-  } else if (will_scan && !cache_->Contains(*pick) &&
-             real_bets_.find(*pick) == real_bets_.end()) {
-    // Foreground miss: route it through the same submission queue as the
-    // bets so it physically serializes behind them on the bucket's own
-    // volume, and charge the measured blocked time.
-    SubmitRealBet(*pick);
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet fetched = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    if (!fetched.status.ok()) return fetched.status;
-    cache_->Put(*pick, fetched.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*fetched.bucket);
-    outcome.fetch_residual_ms = waited;
-    pick_arm.stats.busy_ms += fetched.latency_ms;
-    ++pick_arm.stats.foreground_reads;
-    pick_arm.stats.foreground_bytes += fetched.bytes;
-  }
-
-  // Predict the next picks and submit their reads NOW, before the join
-  // below — the queues work through them while the CPU matches, which is
-  // the overlap real mode exists to measure. Window publishing and
-  // stale-bet dropping mirror the modeled path; a dropped real bet is
-  // simply forgotten (the ticket check discards its late completion) and
-  // its fetched bytes, if any, are charged to the controller as waste.
-  if (prefetch_on) {
-    std::vector<size_t> want(volumes);
-    for (size_t v = 0; v < volumes; ++v) {
-      want[v] = std::max(current_prefetch_depth(v), arms_[v].bets.size());
-    }
-    std::vector<storage::BucketIndex> predicted =
-        scheduler_->PeekNextBucketsCovering(
-            *manager_, now, cached,
-            [this](storage::BucketIndex b) { return VolumeOf(b); }, want);
-    if (config_.prefetch_aware_eviction && predicted != last_window_) {
-      cache_->SetPredictionWindow(predicted);
-      last_window_ = predicted;
-    }
-    if (drop_stale) {
-      for (size_t v = 0; v < volumes; ++v) {
-        for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
-          if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
-              predicted.end()) {
-            auto rb = real_bets_.find(it->bucket);
-            if (rb != real_bets_.end()) {
-              if (rb->second.completed && rb->second.status.ok()) {
-                feedback[v].wasted_bytes += rb->second.bytes;
-              }
-              real_bets_.erase(rb);
-            }
-            it = arms_[v].bets.erase(it);
-            ++feedback[v].cancels;
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (storage::BucketIndex b : predicted) {
-      const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() >= current_prefetch_depth(v)) continue;
-      if (cache_->Contains(b)) continue;
-      const bool already_queued = std::any_of(
-          arms_[v].bets.begin(), arms_[v].bets.end(),
-          [&](const PendingPrefetch& p) { return p.bucket == b; });
-      if (already_queued) continue;
-      SubmitRealBet(b);
-      // Queue order only; the modeled completion fields stay zero.
-      arms_[v].bets.push_back(PendingPrefetch{b, 0.0, 0.0});
-      ++arms_[v].stats.prefetch_issued;
-    }
-  }
-
-  Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
-  // On error the just-submitted bets stay pending in real_bets_; they hold
-  // no cache pins, and teardown's CancelOutstandingPrefetches drains them.
-  if (!evaluated.ok()) return evaluated.status();
-  join::BatchResult result = std::move(*evaluated);
-  // Spill restores happened physically inside TakeBucket (the spill file
-  // read is real I/O on every path); the modeled price is kept for the
-  // outcome's telemetry but no wall charge is added here — the driver's
-  // wall clock already contains the blocked time.
-  outcome.restore_ms =
-      restored_bytes > 0
-          ? evaluator_->disk_model().SequentialReadMs(restored_bytes)
-          : 0.0;
-
-  outcome.strategy = result.strategy;
-  outcome.cache_hit = result.cache_hit;
-  outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
-  outcome.counters = result.counters;
-  outcome.matches = std::move(result.matches);
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
-  return std::optional<StepOutcome>(std::move(outcome));
 }
 
 void BatchPipeline::CancelOutstandingPrefetches() {
   for (Arm& arm : arms_) {
-    if (async_reader_ == nullptr) {
-      for (const PendingPrefetch& p : arm.bets) {
-        cache_->CancelPrefetch(p.bucket);
-      }
-    }
+    for (const PendingPrefetch& p : arm.bets) DropBet(p);
     arm.bets.clear();
   }
-  if (async_reader_ != nullptr) {
-    // Real bets hold no cache pins. Forget them first (late completions
-    // then fail the ticket lookup and drop), then drain the queues so no
-    // worker still references the store when the caller tears down.
-    real_bets_.clear();
-    async_reader_->Drain();
-  }
+  // No worker may still be reading on the run's behalf when the caller
+  // tears down or reports.
+  if (reader_ != nullptr) reader_->Drain();
   // End of run: no prediction is live, so stop protecting anything.
   if (config_.prefetch_aware_eviction) {
     cache_->SetPredictionWindow({});

@@ -1,29 +1,44 @@
 // The unified batch-execution pipeline: the paper's core scheduling loop —
-// pick a bucket, prefetch the predicted next picks, claim a completed
-// prefetch, evaluate the bucket's whole workload queue, account the
-// virtual-clock I/O — extracted into one place so both virtual-time
-// drivers (core::LifeRaft::ProcessNextBatch and sim::SimEngine's shared
-// mode) execute the identical loop. Before this layer existed the loop was
-// duplicated per driver and only the simulator had PR 2's prefetch
-// pipelining; now every feature of the loop lands in both drivers for
-// free.
+// pick a bucket, claim its prefetched read, evaluate the bucket's whole
+// workload queue, keep the next predicted buckets coming — written once
+// and shared by both drivers (core::LifeRaft::ProcessNextBatch and
+// sim::SimEngine's shared mode) and by both clocks.
+//
+// One loop, two fetch backends. Every read the pipeline makes goes
+// through the storage::AsyncReader it opens on the store
+// (BucketStore::NewAsyncReader): per-volume submission queues whose
+// workers read while the owner thread joins. What differs between the
+// clocks is only how a fetch is charged, and that is confined to the
+// fetch seam (the private Bet*/Charge* helpers):
+//  * modeled (PipelineConfig::real_io off, the deterministic oracle):
+//    bets are priced with DiskModel arithmetic on per-arm virtual clocks,
+//    described below. The read itself runs on a worker, but no wall-clock
+//    fact — completion order, whether a read has finished yet — reaches
+//    a decision or a counter: the claim waits for its read and charges
+//    the modeled residual; a dropped bet is charged its modeled bytes
+//    from store metadata. Results are thread- and machine-independent.
+//  * real (real_io on): a claim charges the MEASURED wall time the step
+//    blocked on the queue, and a foreground miss is itself a queue read
+//    (serializing physically behind the bets on its volume) installed via
+//    BucketCache::Claim before the evaluator scans it. The physical
+//    queues are the arm serialization, so there are no modeled arm clocks.
 //
 // Depth-K prefetch: with prefetching enabled the pipeline keeps up to
 // `prefetch_depth` predicted buckets in flight per disk arm
 // (Scheduler::PeekNextBuckets supplies the predicted service order).
-// Physical reads start immediately on the worker pool, overlapping the
-// current batch's join compute; the *modeled* fetches serialize per arm —
-// a prefetch's virtual completion time queues behind the current batch's
-// disk phase (when they share the arm) and behind every earlier prefetch
-// on its own arm, so no arm's clock ever overlaps two of its fetches. A
-// batch that claims its predicted bucket pays only the un-hidden residual
-// max(0, fetch_done - now), capped at the bucket's full T_b — a bet
-// queued so deep behind its arm that waiting would exceed a fresh
-// foreground read is charged as exactly that read (and hides nothing),
-// though the physical bytes are still reused. The full fetch minus the
-// charged residual is credited to prefetch_hidden_ms. At prefetch_depth
-// == 1 with cancel-on-mispredict off and a single volume this reproduces
-// the PR 2 engine pipeline tick-for-tick.
+// Physical reads start immediately, overlapping the current batch's join
+// compute; the *modeled* fetches serialize per arm — a prefetch's virtual
+// completion time queues behind the current batch's disk phase (when they
+// share the arm) and behind every earlier prefetch on its own arm, so no
+// arm's clock ever overlaps two of its fetches. A batch that claims its
+// predicted bucket pays only the un-hidden residual max(0, fetch_done -
+// now), capped at the bucket's full T_b — a bet queued so deep behind its
+// arm that waiting would exceed a fresh foreground read is charged as
+// exactly that read (and hides nothing), though the physical bytes are
+// still reused. The full fetch minus the charged residual is credited to
+// prefetch_hidden_ms. At prefetch_depth == 1 with cancel-on-mispredict off
+// and a single volume this reproduces the original single-bet pipeline
+// tick-for-tick.
 //
 // Multi-volume topology (storage::StorageTopology): each volume is an
 // independent disk arm with its own in-flight bet queue, its own modeled
@@ -41,25 +56,25 @@
 // With a null topology (or num_volumes == 1) every bucket maps to arm 0
 // and the accounting reduces to the single-arm model byte for byte.
 //
-// Mispredictions: by default an unclaimed prefetch is held (pinned) until
-// its bucket is eventually scheduled, its modeled completion slipping
+// Mispredictions: by default an unclaimed prefetch is held until its
+// bucket is eventually scheduled, its modeled completion slipping
 // whenever the foreground batch needs its disk arm. With
 // `cancel_on_mispredict` the pipeline instead drops queued prefetches that
-// have fallen out of the scheduler's current prediction window, unpinning
-// their buckets so the cache can evict them (the arm time already modeled
-// for them is not refunded — the bet was placed and lost).
+// have fallen out of the scheduler's current prediction window (the arm
+// time already modeled for them is not refunded — the bet was placed and
+// lost).
 //
-// Adaptive depth (PR 4, per-arm since the topology refactor): with
-// `adaptive_prefetch` the fixed `prefetch_depth` becomes only the
-// starting point — each arm's PrefetchController tracks that arm's
-// stale-claim rate, hidden-ms per claim, and wasted prefetch bytes
-// (EWMAs over the virtual clock) and walks the arm's depth between 0 and
-// `controller.max_depth`: shrink on mispredict bursts, grow while deeper
-// bets keep hiding latency and dropped bets are not burning bandwidth.
-// Adaptive mode implies window-based cancelation (a shrunken window drops
-// the now-out-of-scope bets, which is both the drain mechanism and the
-// controller's mispredict signal). Still deterministic: controllers see
-// only virtual quantities and step counts.
+// Adaptive depth (per arm): with `adaptive_prefetch` the fixed
+// `prefetch_depth` becomes only the starting point — each arm's
+// PrefetchController tracks that arm's stale-claim rate, hidden-ms per
+// claim, and wasted prefetch bytes and walks the arm's depth between 0
+// and `controller.max_depth`: shrink on mispredict bursts, grow while
+// deeper bets keep hiding latency and dropped bets are not burning
+// bandwidth. Adaptive mode implies window-based cancelation (a shrunken
+// window drops the now-out-of-scope bets, which is both the drain
+// mechanism and the controller's mispredict signal). In modeled mode the
+// controllers see only virtual quantities and step counts, so they stay
+// deterministic.
 //
 // Prefetch-aware eviction: each time the pipeline peeks the prediction
 // window it publishes it to the cache (BucketCache::SetPredictionWindow),
@@ -82,14 +97,11 @@
 #include "join/evaluator.h"
 #include "query/workload.h"
 #include "sched/scheduler.h"
+#include "storage/async_io.h"
 #include "storage/bucket_cache.h"
 #include "storage/topology.h"
 #include "util/clock.h"
 #include "util/status.h"
-
-namespace liferaft::storage {
-class AsyncReader;  // storage/async_io.h
-}  // namespace liferaft::storage
 
 namespace liferaft::exec {
 
@@ -103,7 +115,7 @@ struct PipelineConfig {
   /// volume is the PR 2 pipeline.
   size_t prefetch_depth = 1;
   /// Drop queued prefetches that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
+  /// instead of holding them until claimed.
   bool cancel_on_mispredict = false;
   /// Feedback-driven per-arm depth scaling between 0 and
   /// controller.max_depth (see file comment); prefetch_depth seeds every
@@ -122,6 +134,9 @@ struct PipelineConfig {
   /// fetch times match foreground fetch times). Off by default — v1/v2
   /// runs stay byte-identical.
   bool charge_encoded_bytes = false;
+  /// The measured fetch backend (see file comment): the drivers set it
+  /// from their I/O mode. Requires a store with concurrent reads.
+  bool real_io = false;
 };
 
 /// Everything one pipeline step produced; the driver advances its clock by
@@ -137,7 +152,9 @@ struct StepOutcome {
   TimeMs cost_ms = 0.0;
   TimeMs io_ms = 0.0;
   TimeMs cpu_ms = 0.0;
-  /// Un-hidden tail of a claimed prefetch, charged before the batch.
+  /// Time the batch waited for its bucket's fetch before evaluating: the
+  /// un-hidden tail of a claimed prefetch (modeled), or the measured wait
+  /// on the queue (real).
   TimeMs fetch_residual_ms = 0.0;
   /// Sequential I/O for workload segments restored from the spill file.
   TimeMs restore_ms = 0.0;
@@ -153,10 +170,10 @@ struct StepOutcome {
   }
 };
 
-/// One archive's pick→prefetch→claim→evaluate→account loop. The pipeline
-/// borrows every component (nothing is owned) and keeps only the
-/// per-arm prefetch bookkeeping as state; drivers own the completion
-/// clock and call Step with their current virtual time.
+/// One archive's pick→claim→prefetch→evaluate→account loop. The pipeline
+/// borrows every component except its AsyncReader and keeps only the
+/// per-arm bet bookkeeping as state; drivers own the completion clock and
+/// call Step with their current time.
 class BatchPipeline {
  public:
   /// @param scheduler bucket scheduling policy (not owned)
@@ -167,34 +184,23 @@ class BatchPipeline {
   /// @param topology  volume map with per-volume disk models (not owned;
   ///                  may be null = single volume using the evaluator's
   ///                  model)
+  /// The store behind the evaluator's cache, and the topology, must
+  /// outlive the pipeline: its reader's workers read through them.
   BatchPipeline(sched::Scheduler* scheduler, query::WorkloadManager* manager,
                 join::JoinEvaluator* evaluator, PipelineConfig config,
                 const storage::StorageTopology* topology = nullptr);
 
-  /// Runs one scheduling step at virtual time `now`. Returns nullopt when
-  /// no queue has pending work (outstanding prefetch bets stay pending —
-  /// work may still arrive for them). With a real-I/O reader attached
-  /// (AttachRealIo) this dispatches to the measured-time path instead of
-  /// the DiskModel arithmetic.
+  /// Runs one scheduling step at time `now`. Returns nullopt when no
+  /// queue has pending work (outstanding prefetch bets stay pending —
+  /// work may still arrive for them).
   Result<std::optional<StepOutcome>> Step(TimeMs now);
 
-  /// Switches the pipeline into real-I/O mode: prefetch bets and
-  /// foreground misses are submitted to `reader`'s per-volume submission
-  /// queues (storage/async_io.h) and the step's fetch_residual_ms carries
-  /// the MEASURED wall time the step blocked on the queues, not a modeled
-  /// quantity. The modeled Step path is untouched — a pipeline that never
-  /// attaches a reader is bit-identical to one built before this API
-  /// existed. Call before the first Step; `reader` must outlive the
-  /// pipeline (or a CancelOutstandingPrefetches + AttachRealIo(nullptr)).
-  void AttachRealIo(storage::AsyncReader* reader) { async_reader_ = reader; }
-  bool real_io() const { return async_reader_ != nullptr; }
-
-  /// Drops every outstanding prefetch bet on every arm (end of run /
-  /// drain).
+  /// Drops every outstanding prefetch bet on every arm and waits out
+  /// their reads (end of run / drain).
   void CancelOutstandingPrefetches();
 
-  /// Virtual fetch time hidden behind compute by claimed prefetches,
-  /// summed over all arms (per-arm split in volume_stats()).
+  /// Fetch time hidden behind compute by claimed prefetches, summed over
+  /// all arms (per-arm split in volume_stats()).
   TimeMs prefetch_hidden_ms() const { return prefetch_hidden_ms_; }
 
   /// Arm `volume`'s adaptive controller, or null when adaptive_prefetch
@@ -234,9 +240,16 @@ class BatchPipeline {
   /// Per-arm I/O telemetry accumulated so far (index = volume).
   std::vector<storage::VolumeIoStats> volume_stats() const;
 
+  /// The reader every bet and real-mode foreground read goes through, or
+  /// null when the pipeline never reads (modeled mode with prefetching
+  /// off, or a store without concurrent reads). Its VolumeStats() are the
+  /// measured queue telemetry.
+  const storage::AsyncReader* reader() const { return reader_.get(); }
+
   /// Residency probe for the scheduler's phi term at time `now`: resident
-  /// in cache, or bet on by a prefetch whose modeled fetch has completed —
-  /// which steers the metric toward the bucket we bet on, making the
+  /// in cache, or bet on by a prefetch that has landed — modeled: its
+  /// fetch's virtual completion is <= now; real: its read has completed
+  /// OK. This steers the metric toward the bucket we bet on, making the
   /// prediction self-fulfilling.
   sched::CacheProbe MakeCacheProbe(TimeMs now) const;
 
@@ -251,11 +264,15 @@ class BatchPipeline {
   /// One outstanding prefetch bet.
   struct PendingPrefetch {
     storage::BucketIndex bucket;
-    /// Virtual time at which the modeled fetch completes on its arm
-    /// (queued behind the arm's foreground I/O and earlier prefetches).
-    TimeMs done_ms;
-    /// Full modeled fetch cost (T_b of the bucket), for hidden-time stats.
-    TimeMs fetch_ms;
+    /// The reader ticket of the bet's read (0 = no read was submitted:
+    /// the store serves no concurrent reads).
+    uint64_t ticket;
+    /// Modeled backend: virtual time at which the fetch completes on its
+    /// arm (queued behind the arm's foreground I/O and earlier prefetches)
+    /// and the full fetch cost (T_b of the bucket), for hidden-time stats.
+    /// Zero under the real backend.
+    TimeMs done_ms = 0.0;
+    TimeMs fetch_ms = 0.0;
   };
 
   /// One disk arm: its outstanding bets in predicted service order (= that
@@ -267,29 +284,42 @@ class BatchPipeline {
     storage::VolumeIoStats stats;
   };
 
-  /// Completion-side record of one real-I/O bet: filled in by the
-  /// submission-queue callback (which the reader invokes on THIS thread,
-  /// inside Poll()/Wait() — never on a worker, so no locking). The ticket
-  /// guards against a late completion of a dropped-and-resubmitted bet
-  /// resurrecting under the same bucket index.
-  struct RealBet {
-    uint64_t ticket = 0;
-    bool completed = false;
-    Status status;
-    std::shared_ptr<const storage::Bucket> bucket;
-    /// Measured submit-to-completion wall latency.
-    TimeMs latency_ms = 0.0;
-    /// Physical bytes the read moved (encoded page size when known).
-    uint64_t bytes = 0;
+  /// A fetch charged to the step: the time waited before evaluating and
+  /// the fetch time that was hidden behind earlier compute.
+  struct FetchCharge {
+    TimeMs residual_ms = 0.0;
+    TimeMs hidden_ms = 0.0;
   };
 
-  /// The measured-time twin of Step (see AttachRealIo).
-  Result<std::optional<StepOutcome>> StepReal(TimeMs now);
-  /// Submits bucket `b` to the reader and records the bet in real_bets_.
-  void SubmitRealBet(storage::BucketIndex b);
-  /// Blocks on the reader until real_bets_[b] completes, harvesting other
-  /// arms' completions along the way; returns the measured wall wait.
-  TimeMs WaitForRealBet(storage::BucketIndex b);
+  // ---- reads (shared by both backends) ----
+  /// Submits a read of `b` to the reader; returns its ticket (0 without a
+  /// reader).
+  uint64_t SubmitRead(storage::BucketIndex b);
+  /// Blocks until the read `ticket` completes (delivering other reads'
+  /// completions along the way), forgets it, and returns its completion;
+  /// `waited_ms` receives the wall time spent blocked.
+  storage::AsyncReadCompletion AwaitRead(uint64_t ticket, TimeMs* waited_ms);
+
+  // ---- the fetch seam: the only places the two backends differ ----
+  /// True if bet `p` counts as resident for the phi term at `now`.
+  bool BetLanded(const PendingPrefetch& p, TimeMs now) const;
+  /// Charges the claim of bet `p`, whose read completed as `read` after
+  /// the step blocked `waited_ms` on it.
+  FetchCharge ChargeClaim(const PendingPrefetch& p, TimeMs now,
+                          const storage::AsyncReadCompletion& read,
+                          TimeMs waited_ms, Arm& arm) const;
+  /// Drops bet `p` unclaimed and returns the bytes it is charged as
+  /// waste: modeled — the bucket's modeled bytes from store metadata
+  /// whether or not the read has finished; real — the bytes its read had
+  /// actually fetched by now.
+  uint64_t DropBet(const PendingPrefetch& p);
+  /// Advances the modeled arm clocks after a batch: slips the batch arm's
+  /// queued bets by its disk phase, prices and queues `issued`, and
+  /// charges the foreground and spill-restore busy time.
+  void ChargeModeledArms(
+      TimeMs now, const StepOutcome& outcome,
+      const join::BatchResult& result, uint64_t restored_bytes,
+      const std::vector<std::vector<PendingPrefetch>>& issued);
 
   storage::VolumeIndex VolumeOf(storage::BucketIndex b) const {
     return topology_ != nullptr ? topology_->VolumeOf(b) : 0;
@@ -300,13 +330,14 @@ class BatchPipeline {
     return topology_ != nullptr ? topology_->ModelFor(b)
                                 : evaluator_->disk_model();
   }
-  /// True if the evaluator would take the scan path for this batch with
-  /// the bucket resident — i.e. claiming the prefetch will actually be
-  /// consumed. Under prefer_scan_when_cached=false a small batch probes
-  /// the index and would never touch the fetched bucket (ChooseStrategy
-  /// ignores residency in that config, so the evaluator reaches the same
-  /// strategy whether or not we claim).
-  bool WillScan(storage::BucketIndex bucket, uint64_t queue_objects) const;
+  /// True if the evaluator takes the scan path for a batch of
+  /// `queue_objects` on `bucket` given its residency — with `cached` set,
+  /// whether claiming a prefetch will actually be consumed (under
+  /// prefer_scan_when_cached=false a small batch probes the index and
+  /// would never touch the fetched bucket); with it clear, whether an
+  /// uncached batch needs a foreground read at all.
+  bool Scans(storage::BucketIndex bucket, uint64_t queue_objects,
+             bool cached) const;
 
   sched::Scheduler* scheduler_;
   query::WorkloadManager* manager_;
@@ -329,12 +360,15 @@ class BatchPipeline {
   /// windows — the cache locks every shard to swap them).
   std::vector<storage::BucketIndex> last_window_;
 
-  /// Real-I/O mode (null = modeled). Not owned.
-  storage::AsyncReader* async_reader_ = nullptr;
-  /// Outstanding real bets by bucket; arm.bets still carries the queue
-  /// ORDER (with zeroed modeled times), this map carries the completions.
-  std::unordered_map<storage::BucketIndex, RealBet> real_bets_;
+  /// Outstanding reads by ticket; a value is filled in by the read's
+  /// completion callback, which the reader invokes on THIS thread inside
+  /// Poll()/Wait() — never on a worker, so no locking.
+  std::unordered_map<uint64_t, std::optional<storage::AsyncReadCompletion>>
+      reads_;
   WallClock wall_;
+  /// Declared last so it is destroyed first: joining its workers drops
+  /// undelivered callbacks before the state they reference goes away.
+  std::unique_ptr<storage::AsyncReader> reader_;
 };
 
 }  // namespace liferaft::exec

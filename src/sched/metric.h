@@ -9,7 +9,7 @@
 // resident contentious buckets maximally attractive. A(i) is the age of the
 // oldest request in the queue.
 //
-// Unit caveat (see DESIGN.md §5): taken literally, Eq. 2 adds objects/ms
+// Unit caveat: taken literally, Eq. 2 adds objects/ms
 // (magnitude << 10) to milliseconds (magnitude >> 10^4), so any alpha > 0 is
 // immediately age-dominated and all intermediate alpha settings collapse
 // onto alpha = 1. To reproduce the paper's graded alpha behaviour we default

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <limits>
+#include <thread>
 
 #include "query/preprocessor.h"
 #include "sched/liferaft_scheduler.h"
@@ -61,8 +63,7 @@ Result<bool> SimEngine::SharedStep() {
                             pipeline_->Step(clock_));
   if (!outcome.has_value()) return false;
   if (config_.io_mode == IoMode::kReal) {
-    // Measured execution: the clock IS elapsed wall time. (max: an idle
-    // jump to a future arrival may have pushed clock_ ahead of the wall.)
+    // Measured execution: the clock IS elapsed wall time.
     clock_ = std::max(clock_, wall_.NowMs() - wall_base_ms_);
   } else {
     // Two additions, exactly as the pre-exec loop advanced the clock, so
@@ -80,6 +81,15 @@ Result<bool> SimEngine::SharedStep() {
   }
   for (query::QueryId id : outcome->completed) RecordCompletion(id, clock_);
   return true;
+}
+
+void SimEngine::WaitForWall(TimeMs target_ms) {
+  for (TimeMs elapsed = wall_.NowMs() - wall_base_ms_; elapsed < target_ms;
+       elapsed = wall_.NowMs() - wall_base_ms_) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(target_ms - elapsed));
+  }
+  clock_ = std::max(clock_, wall_.NowMs() - wall_base_ms_);
 }
 
 Result<bool> SimEngine::PerQueryStep(
@@ -164,14 +174,11 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   outcomes_.clear();
   outcomes_.reserve(expected_queries);
   total_matches_ = 0;
+  // The pipeline's reader joins its workers here, before the topology they
+  // route by is replaced.
   pipeline_.reset();
-  // After the pipeline that borrowed it, before the topology its workers
-  // route by.
-  async_reader_.reset();
   catalog_->store()->ResetStats();
-  // The old cache (and any in-flight prefetch it still holds) is drained
-  // here — while the pool it may reference is still alive, and before the
-  // topology it may shard by is replaced.
+  // Before the topology it may shard by is replaced.
   cache_.reset();
   LIFERAFT_ASSIGN_OR_RETURN(
       storage::StorageTopology topology,
@@ -198,8 +205,6 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
       config_.cache_capacity_bytes);
   evaluator_ = std::make_unique<join::JoinEvaluator>(
       cache_.get(), catalog_->index(), model_, config_.hybrid);
-  evaluator_->set_use_match_arenas(config_.match_arenas);
-  evaluator_->set_use_io_arenas(config_.io_arenas);
   evaluator_->set_topology(topology_.get());
   evaluator_->set_charge_encoded_bytes(config_.charge_encoded_bytes);
   if (config_.num_threads > 1) {
@@ -207,13 +212,11 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
       pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     }
     evaluator_->set_thread_pool(pool_.get());
-    cache_->set_thread_pool(pool_.get());
   } else {
     pool_.reset();
   }
   manager_ =
       std::make_unique<query::WorkloadManager>(catalog_->num_buckets());
-  manager_->set_use_restore_arena(config_.io_arenas);
   if (!config_.spill_path.empty() &&
       config_.mode == ExecutionMode::kShared) {
     LIFERAFT_RETURN_IF_ERROR(manager_->EnableSpill(
@@ -230,13 +233,10 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
     pipeline_config.prefetch_aware_eviction = config_.prefetch_aware_eviction;
     pipeline_config.collect_matches = config_.collect_matches;
     pipeline_config.charge_encoded_bytes = config_.charge_encoded_bytes;
+    pipeline_config.real_io = config_.io_mode == IoMode::kReal;
     pipeline_ = std::make_unique<exec::BatchPipeline>(
         scheduler_.get(), manager_.get(), evaluator_.get(), pipeline_config,
         topology_.get());
-    if (config_.io_mode == IoMode::kReal) {
-      async_reader_ = catalog_->store()->NewAsyncReader(topology_.get());
-      pipeline_->AttachRealIo(async_reader_.get());
-    }
   }
   wall_base_ms_ = wall_.NowMs();
   return Status::OK();
@@ -328,8 +328,13 @@ Result<RunMetrics> SimEngine::Run(
       if (next_arrival >= n) {
         return Status::Internal("no pending work but queries incomplete");
       }
-      // Idle until the next arrival.
-      clock_ = std::max(clock_, arrivals_ms[next_arrival]);
+      // Idle until the next arrival. Measured execution idles on the wall
+      // clock, so the clock never runs ahead of the time Run has taken.
+      if (config_.io_mode == IoMode::kReal) {
+        WaitForWall(arrivals_ms[next_arrival]);
+      } else {
+        clock_ = std::max(clock_, arrivals_ms[next_arrival]);
+      }
     }
   }
   if (pipeline_ != nullptr) {
@@ -379,9 +384,10 @@ RunMetrics SimEngine::AssembleMetrics(size_t n) {
                                       : query::SpillStats{};
   metrics.prefetch_hidden_ms =
       pipeline_ != nullptr ? pipeline_->prefetch_hidden_ms() : 0.0;
-  if (async_reader_ != nullptr) {
+  if (config_.io_mode == IoMode::kReal && pipeline_ != nullptr &&
+      pipeline_->reader() != nullptr) {
     metrics.real_io_enabled = true;
-    metrics.real_io = async_reader_->VolumeStats();
+    metrics.real_io = pipeline_->reader()->VolumeStats();
   }
   if (pipeline_ != nullptr && pipeline_->controller() != nullptr) {
     metrics.prefetch_final_depth = pipeline_->controller()->depth();

@@ -1,7 +1,7 @@
 // The discrete-event simulation engine: replays a query trace against one
 // archive under a chosen execution mode, advancing a virtual clock by the
 // disk model's costs. Joins execute for real (matches are exact); only I/O
-// latency is modeled — see DESIGN.md §2.
+// latency is modeled — see "The scheduler loop" in docs/ARCHITECTURE.md.
 //
 // Execution modes (paper §5):
 //  * kShared    — batch processing through the Workload Manager / LifeRaft
@@ -49,10 +49,11 @@ const char* ExecutionModeName(ExecutionMode mode);
 ///  * kReal — measured execution: prefetch bets and foreground misses are
 ///    dispatched to the store's per-volume submission queues
 ///    (storage::AsyncReader) and the engine clock tracks ELAPSED WALL
-///    TIME, so multi-volume overlap is measured, not modeled. Requires
-///    kShared execution with a store that supports concurrent reads
-///    (FileStore, MemStore); Run only — Serve's admission control is
-///    defined on the virtual clock.
+///    TIME, so multi-volume overlap is measured, not modeled; an idle
+///    engine sleeps until the next arrival rather than jumping the clock.
+///    Requires kShared execution with a store that supports concurrent
+///    reads (FileStore, MemStore); Run only — Serve's admission control
+///    is defined on the virtual clock.
 enum class IoMode { kModeled, kReal };
 
 const char* IoModeName(IoMode mode);
@@ -106,7 +107,7 @@ struct EngineConfig {
   size_t num_threads = 1;
   /// Cross-batch prefetch pipelining (shared mode): while a batch joins,
   /// start fetching the bucket the scheduler is predicted to pick next
-  /// (Scheduler::PeekNextBucket), pinned in cache until claimed. The
+  /// (Scheduler::PeekNextBucket), held by the pipeline until claimed. The
   /// virtual clock models one disk arm: the prefetch begins when the
   /// current batch's disk phase ends and only the in-memory matching time
   /// hides fetch latency; an early-arriving batch pays the residual
@@ -121,7 +122,7 @@ struct EngineConfig {
   /// the controller's starting depth.
   size_t prefetch_depth = 1;
   /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
+  /// instead of holding them until claimed.
   bool cancel_on_mispredict = false;
   /// Feedback-driven prefetch depth: an exec::PrefetchController scales
   /// the depth between 0 and max_prefetch_depth from the observed
@@ -134,13 +135,6 @@ struct EngineConfig {
   /// Demote buckets inside the scheduler's prediction window last on
   /// eviction (BucketCache::SetPredictionWindow); off = plain LRU.
   bool prefetch_aware_eviction = true;
-  /// Per-worker bump arenas for parallel match collection (no effect at
-  /// num_threads == 1). Results are byte-identical on or off.
-  bool match_arenas = true;
-  /// Bump arenas for batch-scoped I/O scratch: spill-restore read buffers
-  /// and worker-side bucket page decode buffers. Results are
-  /// byte-identical on or off.
-  bool io_arenas = true;
   /// Optional workload-adaptive alpha: when set and the scheduler is a
   /// LifeRaftScheduler, the engine re-selects alpha from the observed
   /// arrival rate after every admission.
@@ -229,6 +223,10 @@ class SimEngine {
 
   void RecordCompletion(query::QueryId id, TimeMs completion);
 
+  // Real I/O mode: sleeps until the wall clock reaches `target_ms` after
+  // the run's start, then advances clock_ to the elapsed wall time.
+  void WaitForWall(TimeMs target_ms);
+
   storage::Catalog* catalog_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   EngineConfig config_;
@@ -241,18 +239,15 @@ class SimEngine {
   std::unique_ptr<storage::BucketCache> cache_;
   std::unique_ptr<join::JoinEvaluator> evaluator_;
   std::unique_ptr<query::WorkloadManager> manager_;
-  /// Real-I/O submission queues (io_mode == kReal only). Declared before
-  /// pipeline_ — the pipeline borrows the reader, so the reader must be
-  /// destroyed (workers joined) after it; and after topology_/the store,
-  /// which the reader's workers reference.
-  std::unique_ptr<storage::AsyncReader> async_reader_;
-  /// The unified pick→prefetch→claim→evaluate→account loop (shared mode).
+  /// The unified pick→claim→prefetch→evaluate→account loop (shared mode).
+  /// Declared after topology_: its reader's workers route by the topology
+  /// and read the store, so it must be destroyed first.
   std::unique_ptr<exec::BatchPipeline> pipeline_;
   std::vector<AdmittedQuery> fifo_;  // per-query modes; front = next
   size_t fifo_head_ = 0;
   TimeMs clock_ = 0.0;
   /// Real mode: the wall time PrepareRun finished at; the engine clock is
-  /// max(clock_, wall now - this) after every step.
+  /// max(clock_, wall now - this) after every step and every idle wait.
   WallClock wall_;
   TimeMs wall_base_ms_ = 0.0;
 

@@ -32,19 +32,19 @@ struct StoreStats {
 
 /// Abstract bucket-granularity storage engine.
 ///
-/// Threading contract: the virtual-clock drivers funnel all reads through
-/// one owner thread — LifeRaft's scheduler loop. Beyond that, the sharded
+/// Threading contract: the drivers funnel all accounting through one owner
+/// thread — LifeRaft's scheduler loop. Beyond that, the sharded
 /// BucketCache may invoke ReadBucket from whichever thread holds the
 /// bucket's shard lock, so an implementation MUST make ReadBucket safe to
 /// call concurrently with itself and with ReadBucketForPrefetch (MemStore
 /// serves immutable materialized buckets; FileStore reads pages with
 /// positional pread(2) calls that share no mutable state).
-/// ReadBucketForPrefetch exists for the prefetch
-/// pipeline: a cache worker calls it concurrently with other reads, and
-/// it never touches the stats counters — the owner records the I/O at
-/// claim time via RecordPrefetchedRead, keeping accounting deterministic.
-/// The counters themselves are atomic, so stats recording is never the
-/// race.
+/// ReadBucketForPrefetch exists for off-owner reads: the AsyncReader's
+/// workers (every pipeline read) and the NoShare fan-out call it
+/// concurrently with other reads, and it never touches the stats
+/// counters — the owner records the I/O when it consumes the bucket via
+/// RecordPrefetchedRead, keeping accounting deterministic. The counters
+/// themselves are atomic, so stats recording is never the race.
 class BucketStore {
  public:
   virtual ~BucketStore() = default;
@@ -88,7 +88,7 @@ class BucketStore {
       BucketIndex index) = 0;
 
   /// True if ReadBucketForPrefetch is implemented and safe to call
-  /// concurrently with owner-thread reads. When false, cache prefetching
+  /// concurrently with owner-thread reads. When false, pipeline prefetching
   /// and worker-side NoShare reads degrade gracefully (and identically at
   /// every thread count) to owner-thread ReadBucket traffic.
   virtual bool SupportsConcurrentReads() const { return false; }

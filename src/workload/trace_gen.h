@@ -1,5 +1,6 @@
 // Synthetic SkyQuery-like cross-match trace generator — the stand-in for
-// the paper's 2,000-query web-log trace (DESIGN.md §2).
+// the paper's 2,000-query web-log trace (docs/ARCHITECTURE.md module map,
+// `src/workload`).
 //
 // The published workload has two measured marginals LifeRaft's gains hinge
 // on, and the generator is calibrated to reproduce both:

@@ -32,6 +32,7 @@
 #include "storage/mem_store.h"
 #include "storage/partitioner.h"
 #include "storage/topology.h"
+#include "util/clock.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 
@@ -329,6 +330,84 @@ TEST(FileStoreAsyncTest, FlippedPageByteSurfacesAsChecksumFailure) {
   std::remove(path.c_str());
 }
 
+// Scheduler decorator whose prediction skips the true next pick, so the
+// prefetcher keeps betting wrong and dropping stale bets. PickBucket stays
+// honest.
+class SkipFirstPredictionScheduler : public sched::Scheduler {
+ public:
+  explicit SkipFirstPredictionScheduler(
+      std::unique_ptr<sched::Scheduler> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return "skip-first"; }
+  std::optional<BucketIndex> PickBucket(
+      const query::WorkloadManager& manager, TimeMs now,
+      const sched::CacheProbe& cached) override {
+    return inner_->PickBucket(manager, now, cached);
+  }
+  std::vector<BucketIndex> PeekNextBuckets(
+      const query::WorkloadManager& manager, TimeMs now,
+      const sched::CacheProbe& cached, size_t k) const override {
+    std::vector<BucketIndex> next =
+        inner_->PeekNextBuckets(manager, now, cached, k + 1);
+    if (next.size() > 1) next.erase(next.begin());
+    if (next.size() > k) next.resize(k);
+    return next;
+  }
+
+ private:
+  std::unique_ptr<sched::Scheduler> inner_;
+};
+
+// Modeled bets run on the reader's workers too, but no wall-clock fact may
+// reach a modeled decision or counter: a drain whose bet reads are slowed
+// on some buckets (so they finish late and in a different order, and
+// dropped bets may not have fetched yet) reports byte-identical metrics.
+TEST(ModeledPrefetchTest, WorkerTimingNeverReachesModeledResults) {
+  workload::TraceConfig tc;
+  tc.num_queries = 24;
+  tc.max_objects_per_query = 600;
+  tc.match_radius_arcsec = 600.0;
+  tc.seed = 157;
+  auto trace = workload::GenerateTrace(tc);
+  ASSERT_TRUE(trace.ok());
+  const std::vector<TimeMs> arrivals(trace->size(), 0.0);
+
+  auto run = [&](bool slow) -> std::string {
+    auto store =
+        std::make_unique<FaultInjectionStore>(MakeMemStore(20'000, 151));
+    if (slow) {
+      for (BucketIndex b = 0; b < store->num_buckets(); b += 3) {
+        store->DelayBucket(b, 10);
+      }
+    }
+    auto catalog = Catalog::FromStore(std::move(store));
+    EXPECT_TRUE(catalog.ok());
+    if (!catalog.ok()) return "";
+    sim::EngineConfig config;
+    config.cache_capacity = 4;
+    config.enable_prefetch = true;
+    config.prefetch_depth = 2;
+    config.cancel_on_mispredict = true;
+    config.topology.num_volumes = 2;
+    config.topology.placement = VolumePlacement::kHash;
+    sim::SimEngine engine(
+        (*catalog).get(),
+        std::make_unique<SkipFirstPredictionScheduler>(
+            std::make_unique<sched::LifeRaftScheduler>(
+                (*catalog)->store(), DiskModel{}, sched::LifeRaftConfig{})),
+        config);
+    auto metrics = engine.Run(*trace, arrivals);
+    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+    if (!metrics.ok()) return "";
+    EXPECT_GT(metrics->cache.prefetch_claims, 0u);
+    EXPECT_GT(metrics->cache.prefetch_cancels, 0u);
+    return sim::RunMetricsJson(*metrics) + " wasted=" +
+           std::to_string(metrics->cache.prefetch_wasted_bytes) +
+           " cancels=" + std::to_string(metrics->cache.prefetch_cancels);
+  };
+  EXPECT_EQ(run(/*slow=*/true), run(/*slow=*/false));
+}
+
 }  // namespace
 }  // namespace liferaft::storage
 
@@ -381,9 +460,10 @@ class RealIoModeTest : public ::testing::Test {
   }
 
   Result<RunMetrics> Drain(const EngineConfig& config,
-                           std::map<query::QueryId, uint64_t>* matches) {
+                           std::map<query::QueryId, uint64_t>* matches,
+                           double alpha = 0.25) {
     sched::LifeRaftConfig sc;
-    sc.alpha = 0.25;
+    sc.alpha = alpha;
     SimEngine engine(catalog_.get(),
                      std::make_unique<sched::LifeRaftScheduler>(
                          catalog_->store(), storage::DiskModel{}, sc),
@@ -433,6 +513,93 @@ TEST_F(RealIoModeTest, RealModeMatchesModeledJoinResults) {
   }
   EXPECT_GT(reads, 0u) << "the drain must have gone through the queues";
   EXPECT_GT(real_metrics->makespan_ms, 0.0);
+}
+
+// Real mode counts cache and store traffic through the same claim path
+// as the modeled oracle. With prefetch off and alpha 0 neither clock
+// reaches a pick, so both runs make the same picks, and every cache and
+// store counter must agree — on a catalog five times the cache, so
+// misses, evictions, re-reads and index-probed (unread) batches all occur.
+TEST_F(RealIoModeTest, RealCacheAccountingMatchesModeledWithoutPrefetch) {
+  EngineConfig modeled = BaseConfig(2);
+  modeled.enable_prefetch = false;
+  modeled.cache_capacity = 4;
+  ASSERT_GE(catalog_->num_buckets(), 5 * modeled.cache_capacity);
+  EngineConfig real = modeled;
+  real.io_mode = IoMode::kReal;
+  std::map<query::QueryId, uint64_t> modeled_matches, real_matches;
+  auto m = Drain(modeled, &modeled_matches, /*alpha=*/0.0);
+  auto r = Drain(real, &real_matches, /*alpha=*/0.0);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(real_matches, modeled_matches);
+  EXPECT_GT(m->cache.evictions, 0u);
+  EXPECT_GT(m->evaluator.indexed_batches, 0u);
+
+  EXPECT_EQ(r->cache.hits, m->cache.hits);
+  EXPECT_EQ(r->cache.misses, m->cache.misses);
+  EXPECT_EQ(r->cache.evictions, m->cache.evictions);
+  EXPECT_EQ(r->cache.evictions_protected, m->cache.evictions_protected);
+  EXPECT_EQ(r->cache.prefetch_issued, m->cache.prefetch_issued);
+  EXPECT_EQ(r->cache.prefetch_claims, m->cache.prefetch_claims);
+  EXPECT_EQ(r->cache.prefetch_cancels, m->cache.prefetch_cancels);
+  EXPECT_EQ(r->cache.prefetch_wasted_bytes, m->cache.prefetch_wasted_bytes);
+  EXPECT_EQ(r->store.bucket_reads, m->store.bucket_reads);
+  EXPECT_EQ(r->store.bytes_read, m->store.bytes_read);
+  EXPECT_EQ(r->store.objects_read, m->store.objects_read);
+  EXPECT_EQ(r->evaluator.scan_batches, m->evaluator.scan_batches);
+  EXPECT_EQ(r->evaluator.indexed_batches, m->evaluator.indexed_batches);
+}
+
+// With prefetch on the schedules diverge (landed bets depend on the wall
+// clock), but every read is still counted once: each cache miss is one
+// billed store read, the cache's claims are the arms' claims, and every
+// read the queues served was either billed or a dropped bet.
+TEST_F(RealIoModeTest, RealPrefetchCountsEveryReadOnce) {
+  EngineConfig real = BaseConfig(2);
+  real.cache_capacity = 4;
+  real.io_mode = IoMode::kReal;
+  std::map<query::QueryId, uint64_t> matches;
+  auto r = Drain(real, &matches);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_GT(r->cache.prefetch_claims, 0u);
+  EXPECT_EQ(r->cache.misses, r->store.bucket_reads);
+  uint64_t arm_claims = 0;
+  for (const storage::VolumeIoStats& v : r->volumes) {
+    arm_claims += v.prefetch_claims;
+  }
+  EXPECT_EQ(r->cache.prefetch_claims, arm_claims);
+  EXPECT_EQ(r->cache.prefetch_issued,
+            r->cache.prefetch_claims + r->cache.prefetch_cancels);
+  uint64_t queue_reads = 0;
+  for (const storage::AsyncVolumeStats& v : r->real_io) queue_reads += v.reads;
+  EXPECT_EQ(queue_reads, r->store.bucket_reads + r->cache.prefetch_cancels);
+}
+
+// Measured execution idles on the wall clock: with arrivals spread over
+// time the clock never runs ahead of the wall time Run took, and no query
+// completes before it arrives.
+TEST_F(RealIoModeTest, RealModeIdlesOnTheWallClock) {
+  EngineConfig real = BaseConfig(1);
+  real.io_mode = IoMode::kReal;
+  std::vector<TimeMs> arrivals(trace_.size());
+  for (size_t i = 0; i < arrivals.size(); ++i) arrivals[i] = 5.0 * i;
+  sched::LifeRaftConfig sc;
+  SimEngine engine(catalog_.get(),
+                   std::make_unique<sched::LifeRaftScheduler>(
+                       catalog_->store(), storage::DiskModel{}, sc),
+                   real);
+  WallClock wall;
+  const TimeMs start = wall.NowMs();
+  auto metrics = engine.Run(trace_, arrivals);
+  const TimeMs run_ms = wall.NowMs() - start;
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_LE(metrics->makespan_ms, run_ms);
+  EXPECT_GE(metrics->makespan_ms, arrivals.back());
+  ASSERT_EQ(engine.outcomes().size(), trace_.size());
+  for (const QueryOutcome& o : engine.outcomes()) {
+    EXPECT_GE(o.completion_ms, o.arrival_ms) << "query " << o.id;
+  }
 }
 
 TEST_F(RealIoModeTest, ModeledJsonCarriesNoRealIoSection) {

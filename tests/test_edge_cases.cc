@@ -1,7 +1,6 @@
 // Edge-case coverage across modules: degenerate geometry (poles, RA
-// wraparound), zones' full-RA fallback, logging levels, metric summaries,
-// facade corner states, and misc small behaviours not covered by the main
-// suites.
+// wraparound), zones' full-RA fallback, metric summaries, facade corner
+// states, and misc small behaviours not covered by the main suites.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include "sim/arrivals.h"
 #include "sim/run_metrics.h"
 #include "storage/partitioner.h"
-#include "util/logging.h"
 #include "util/random.h"
 #include "workload/catalog_gen.h"
 
@@ -90,20 +88,6 @@ TEST(RaWrapEdgeTest, MatchesAcrossRaZero) {
   join::ZonesCrossMatch(bucket, batch, 10.0 / kArcsecPerDeg, &zones_out);
   EXPECT_EQ(merge_out.size(), 1u);
   EXPECT_EQ(zones_out.size(), 1u);
-}
-
-// --------------------------------------------------------------- logging --
-
-TEST(LoggingTest, LevelsFilter) {
-  LogLevel original = Logger::level();
-  Logger::SetLevel(LogLevel::kError);
-  EXPECT_EQ(Logger::level(), LogLevel::kError);
-  // Emitting below the level is a no-op (no crash, nothing observable).
-  LIFERAFT_LOG_DEBUG << "suppressed " << 42;
-  LIFERAFT_LOG_INFO << "suppressed";
-  Logger::SetLevel(LogLevel::kOff);
-  LIFERAFT_LOG_ERROR << "also suppressed";
-  Logger::SetLevel(original);
 }
 
 // ----------------------------------------------------------- run metrics --

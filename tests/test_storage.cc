@@ -13,6 +13,7 @@
 #include <sstream>
 #include <vector>
 
+#include "storage/async_io.h"
 #include "storage/btree.h"
 #include "storage/bucket_cache.h"
 #include "storage/catalog.h"
@@ -735,86 +736,84 @@ TEST_F(CacheTestFixture, ClearEmptiesCache) {
 
 // ------------------------------------------------------- Cache prefetch --
 
-TEST_F(CacheTestFixture, PrefetchAsyncClaimsThroughGet) {
+// The pipeline reads bets through the store's AsyncReader and hands them
+// to Claim; a claim is a miss (the bucket did come from the store) plus a
+// claims tick, and the evaluator's scan of the now-resident bucket is the
+// hit.
+TEST_F(CacheTestFixture, ClaimInstallsPrefetchedBucket) {
   BucketCache cache(store_.get(), 3);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(2);
-  EXPECT_TRUE(cache.IsPrefetchPending(2));
-  // In flight, not resident: phi still charges T_b until the claim.
+  auto read = store_->ReadBucketForPrefetch(2);
+  ASSERT_TRUE(read.ok());
+  // Read, not claimed: not resident, and no I/O billed yet.
   EXPECT_FALSE(cache.Contains(2));
-  // I/O accounting is deferred to the claim on the owner thread.
   EXPECT_EQ(store_->stats().bucket_reads, 0u);
 
-  auto claimed = cache.Get(2);
+  auto claimed = cache.Claim(2, *read, /*bet=*/true);
   ASSERT_TRUE(claimed.ok());
-  EXPECT_EQ((*claimed)->index(), 2u);
+  EXPECT_EQ(*claimed, *read);  // the very same shared bucket
   EXPECT_TRUE(cache.Contains(2));
-  EXPECT_FALSE(cache.IsPrefetchPending(2));
-  EXPECT_EQ(cache.stats().prefetch_issued, 1u);
   EXPECT_EQ(cache.stats().prefetch_claims, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);  // the bucket did come from the store
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(store_->stats().bucket_reads, 1u);
+  ASSERT_TRUE(cache.Get(2).ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
 
-  auto fetched = future.get();
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ((*fetched)->index(), 2u);
+  // A foreground read installed the same way is one miss and no claim.
+  auto foreground = store_->ReadBucketForPrefetch(3);
+  ASSERT_TRUE(foreground.ok());
+  ASSERT_TRUE(cache.Claim(3, *foreground, /*bet=*/false).ok());
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
+  EXPECT_EQ(store_->stats().bucket_reads, 2u);
 }
 
-TEST_F(CacheTestFixture, PrefetchPinsResidentBucketAgainstEviction) {
-  BucketCache cache(store_.get(), 2);
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());  // LRU order: 0 is the eviction victim
-  cache.PrefetchAsync(0);          // pins the resident LRU entry
-  EXPECT_TRUE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());  // must evict 1, skipping the pinned 0
-  EXPECT_TRUE(cache.Contains(0));
+TEST_F(CacheTestFixture, ClaimOfFailedReadCountsNothing) {
+  BucketCache cache(store_.get(), 3);
+  auto claimed = cache.Claim(1, Status::Corruption("bad page"), true);
+  ASSERT_FALSE(claimed.ok());
+  EXPECT_EQ(claimed.status().code(), StatusCode::kCorruption);
   EXPECT_FALSE(cache.Contains(1));
-  ASSERT_TRUE(cache.Get(0).ok());  // claim = hit + unpin + promote
-  EXPECT_FALSE(cache.IsPinned(0));
-  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
+  EXPECT_EQ(cache.stats().misses + cache.stats().prefetch_claims, 0u);
+  EXPECT_EQ(store_->stats().bucket_reads, 0u);
+
+  // A store that serves no concurrent reads fetched nothing: the claim
+  // degrades to a plain miss through ReadBucket.
+  claimed = cache.Claim(1, Status::Unimplemented("no prefetch reads"), true);
+  ASSERT_TRUE(claimed.ok());
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().prefetch_claims, 0u);
+  EXPECT_EQ(cache.stats().prefetch_cancels, 1u);
+  EXPECT_EQ(store_->stats().bucket_reads, 1u);
 }
 
 TEST_F(CacheTestFixture, CancelPrefetchDropsUnusedFetch) {
   BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);
-  cache.CancelPrefetch(4);
+  cache.RecordPrefetchIssued();
+  cache.RecordPrefetchDropped(0);
   EXPECT_FALSE(cache.Contains(4));
-  EXPECT_FALSE(cache.IsPrefetchPending(4));
+  EXPECT_EQ(cache.stats().prefetch_issued, 1u);
   EXPECT_EQ(cache.stats().prefetch_cancels, 1u);
   EXPECT_EQ(store_->stats().bucket_reads, 0u);  // never claimed → never billed
-
-  // Canceling a resident pin re-enables eviction of the true LRU.
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());
-  EXPECT_FALSE(cache.Contains(0));
 }
 
 TEST_F(CacheTestFixture, CancelAfterFetchCountsWastedBytes) {
   BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);  // synchronous (no pool): fetched immediately
-  cache.CancelPrefetch(4);
-  // The physical read happened and was dropped unclaimed: its bytes are
-  // the mispredict's direct cost, visible to the adaptive controller.
+  // A dropped bet's bytes are the mispredict's direct cost, visible to the
+  // adaptive controller; they accumulate across drops.
   const uint64_t bucket_bytes =
       static_cast<uint64_t>(store_->BucketObjectCount(4)) *
       Bucket::kBytesPerObject;
+  cache.RecordPrefetchDropped(bucket_bytes);
   EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
-  // The I/O ledger still never saw the read (deferred-to-claim contract).
+  cache.RecordPrefetchDropped(0);  // a drop that fetched nothing
+  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
+  cache.RecordPrefetchDropped(bucket_bytes);
+  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, 2 * bucket_bytes);
+  EXPECT_EQ(cache.stats().prefetch_cancels, 3u);
+  // The I/O ledger never saw the reads (deferred-to-claim contract).
   EXPECT_EQ(store_->stats().bucket_reads, 0u);
-
-  // A canceled pin of a resident bucket fetched nothing — no waste.
-  ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
-
-  // Clear() drops in-flight prefetches the same way.
-  cache.PrefetchAsync(5);
-  cache.Clear();
-  EXPECT_GT(cache.stats().prefetch_wasted_bytes, bucket_bytes);
 }
 
 // ------------------------------------------- Prefetch-aware eviction tier --
@@ -874,17 +873,20 @@ TEST_F(CacheTestFixture, WindowProtectsPerShard) {
 }
 
 TEST_F(CacheTestFixture, PrefetchOnWorkerDefersStatsToClaim) {
-  util::ThreadPool pool(2);
   BucketCache cache(store_.get(), 2);
-  cache.set_thread_pool(&pool);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(1);
-  auto fetched = future.get();  // wait for the worker's read
-  ASSERT_TRUE(fetched.ok());
+  std::unique_ptr<AsyncReader> reader = store_->NewAsyncReader(nullptr);
+  std::shared_ptr<const Bucket> fetched;
+  reader->SubmitRead(1, [&](const AsyncReadCompletion& c) {
+    ASSERT_TRUE(c.status.ok());
+    fetched = c.bucket;
+  });
+  reader->Drain();  // the worker's read, delivered on this thread
+  ASSERT_NE(fetched, nullptr);
   EXPECT_EQ(store_->stats().bucket_reads, 0u);  // still unrecorded
-  auto claimed = cache.Get(1);
+  auto claimed = cache.Claim(1, fetched, /*bet=*/true);
   ASSERT_TRUE(claimed.ok());
   EXPECT_EQ(store_->stats().bucket_reads, 1u);  // billed at claim
-  EXPECT_EQ(*claimed, *fetched);  // the very same shared bucket
+  EXPECT_EQ(*claimed, fetched);  // the very same shared bucket
 }
 
 // -------------------------------------------------------- Sharded cache --
@@ -947,55 +949,67 @@ TEST_F(CacheTestFixture, ShardedMatchesUnshardedCountersOnSameTrace) {
   EXPECT_EQ(f.evictions, s.evictions);
 }
 
-TEST_F(CacheTestFixture, PrefetchPinAndCancelWorkPerShard) {
+TEST_F(CacheTestFixture, PrefetchClaimWorksPerShard) {
+  // Capacity 4 over 2 shards; evens share shard 0, odds shard 1.
   BucketCache cache(store_.get(), 4, 2);
-  cache.PrefetchAsync(3);  // in-flight on shard 1
+  ASSERT_TRUE(cache.Get(1).ok());
+  ASSERT_TRUE(cache.Get(3).ok());
   ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);  // resident pin on shard 0
-  EXPECT_TRUE(cache.IsPrefetchPending(3));
-  EXPECT_TRUE(cache.IsPinned(0));
-  cache.CancelPrefetch(3);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPrefetchPending(3));
-  EXPECT_FALSE(cache.IsPinned(0));
-  EXPECT_EQ(cache.stats().prefetch_cancels, 2u);
+  // Claims into the full odd shard evict there only.
+  ASSERT_TRUE(cache.Claim(5, *store_->ReadBucketForPrefetch(5), true).ok());
+  EXPECT_TRUE(cache.Contains(5));
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(3));
+  EXPECT_TRUE(cache.Contains(0)) << "the even shard must be untouched";
+  ASSERT_TRUE(cache.Claim(2, *store_->ReadBucketForPrefetch(2), true).ok());
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_TRUE(cache.Contains(2));
+  EXPECT_EQ(cache.stats().prefetch_claims, 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 // The races the shard mutexes must survive: many threads hammering
-// PrefetchAsync/Get/CancelPrefetch for overlapping buckets across every
-// shard, with the prefetch reads themselves running on a worker pool.
-// Run under `tools/ci.sh --tsan` this is the thread-sanitizer smoke for
-// the cache; the invariant checks below catch logic races (double claim,
-// lost pin) even without instrumentation.
+// Claim/Get/drop accounting for overlapping buckets across every shard,
+// with the claimed reads themselves made concurrently off the owner. Run
+// under `tools/ci.sh --tsan` this is the thread-sanitizer smoke for the
+// cache; the invariant checks below catch logic races (lost count,
+// unbilled read) even without instrumentation.
 TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
-  util::ThreadPool prefetch_pool(2);
   util::ThreadPool callers(kThreads);
   BucketCache cache(store_.get(), 6, 3);
-  cache.set_thread_pool(&prefetch_pool);
   const size_t num_buckets = store_->num_buckets();
 
   std::atomic<uint64_t> got_objects{0};
+  std::atomic<uint64_t> lookups{0};
+  std::atomic<uint64_t> claims{0};
+  std::atomic<uint64_t> drops{0};
   std::vector<std::future<void>> futures;
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(callers.Submit([&cache, &got_objects, num_buckets, t] {
+    futures.push_back(callers.Submit([&, t] {
       Rng rng(1000 + t);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
         const auto b =
             static_cast<BucketIndex>(rng.UniformU64(num_buckets));
         switch (rng.UniformU64(4)) {
-          case 0:
-            cache.PrefetchAsync(b);
+          case 0: {
+            auto bucket = cache.Claim(b, store_->ReadBucketForPrefetch(b),
+                                      /*bet=*/true);
+            ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
+            claims.fetch_add(1);
             break;
+          }
           case 1: {
             auto bucket = cache.Get(b);
             ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
             got_objects.fetch_add((*bucket)->size());
+            lookups.fetch_add(1);
             break;
           }
           case 2:
-            cache.CancelPrefetch(b);
+            cache.RecordPrefetchDropped(1);
+            drops.fetch_add(1);
             break;
           default:
             (void)cache.Contains(b);
@@ -1006,17 +1020,14 @@ TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   }
   for (auto& f : futures) f.get();  // rethrows assertion failures
 
-  // Drain every prefetch that is still outstanding, then check the
-  // bookkeeping reconciles: issues = claims + cancels once nothing is in
-  // flight, and no bucket is left pinned.
-  for (BucketIndex b = 0; b < num_buckets; ++b) {
-    cache.CancelPrefetch(b);
-    EXPECT_FALSE(cache.IsPrefetchPending(b));
-    EXPECT_FALSE(cache.IsPinned(b));
-  }
+  // Every claim is a miss, every Get a hit or a miss, and every miss billed
+  // exactly one store read.
   CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.prefetch_issued,
-            stats.prefetch_claims + stats.prefetch_cancels);
+  EXPECT_EQ(stats.prefetch_claims, claims.load());
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load() + claims.load());
+  EXPECT_EQ(stats.misses, store_->stats().bucket_reads);
+  EXPECT_EQ(stats.prefetch_cancels, drops.load());
+  EXPECT_EQ(stats.prefetch_wasted_bytes, drops.load());
   EXPECT_GT(got_objects.load(), 0u);
   EXPECT_LE(cache.size(), cache.capacity());
 }

@@ -8,6 +8,9 @@
 # src/sim/scenario_matrix.cc (each marked with a SCENARIO_KEY(<key>)
 # comment) is missing from docs/SCENARIOS.md, so the spec-format reference
 # cannot silently fall behind the parser.
+#
+# Also fails if a comment in src/ cites a *.md file that does not exist
+# (resolved from the repository root, or under docs/ for a bare name).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,3 +50,17 @@ if [ "$missing" -ne 0 ]; then
   exit 1
 fi
 echo "docs check OK: every scenario-spec key is documented in $SCEN_DOC"
+
+missing=0
+while IFS= read -r cited; do
+  if [ ! -f "$cited" ] && [ ! -f "docs/$cited" ]; then
+    echo "src/ cites a missing doc: $cited" >&2
+    missing=1
+  fi
+done < <(grep -rhoE '[A-Za-z0-9_./-]+\.md\b' src | sort -u)
+
+if [ "$missing" -ne 0 ]; then
+  echo "docs check FAILED: fix the citations above" >&2
+  exit 1
+fi
+echo "docs check OK: every *.md cited in src/ exists"

@@ -5,22 +5,27 @@
 #
 #   tools/ci.sh          # docs check + tier-1 build & test + serving smoke
 #   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_thread_pool,
-#                        # test_storage, test_topology, test_serve, and
-#                        # test_async_io with -fsanitize=thread and runs
-#                        # them (work stealing + sharded-cache races +
-#                        # per-volume FileStore lanes + concurrent admission
-#                        # control + submission-queue workers/completions)
+#                        # test_storage, test_topology, test_serve,
+#                        # test_async_io, and test_exec with
+#                        # -fsanitize=thread and runs them (work stealing +
+#                        # sharded-cache races + per-volume FileStore lanes +
+#                        # concurrent admission control + submission-queue
+#                        # workers/completions + modeled prefetch bets read
+#                        # on the pipeline's reader workers)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, and test_async_io
 #                        # with -fsanitize=address,undefined and runs them
 #                        # (arena lifetimes incl. I/O scratch, prefetch
-#                        # claim/cancel memory, eviction-tier bookkeeping,
+#                        # claim/drop memory, eviction-tier bookkeeping,
 #                        # columnar page decode over corrupted input, and
 #                        # async-reader fault injection/teardown)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
 #                        # submission queues end to end on a real filesystem.
+#                        # Real mode waits out arrivals on the wall clock,
+#                        # so the replay passes --rate to keep the trace's
+#                        # arrivals within a few seconds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,13 +58,14 @@ if [ "${1:-}" = "--tsan" ]; then
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
     -DLIFERAFT_BUILD_TOOLS=OFF
-  cmake --build build-tsan -j --target test_thread_pool test_storage test_topology test_serve test_async_io
+  cmake --build build-tsan -j --target test_thread_pool test_storage test_topology test_serve test_async_io test_exec
   # halt_on_error so a reported race fails the job, not just the log.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_thread_pool
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_storage
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_topology
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_serve
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_async_io
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_exec
   echo "tsan smoke OK"
   exit 0
 fi
@@ -77,7 +83,8 @@ if [ "${1:-}" = "--real-io" ]; then
   ./build/liferaft_tool gen-trace --queries 16 --seed 11 \
     --out "$realio_tmp/trace.lfr"
   ./build/liferaft_tool replay --store "$realio_tmp/cat.lfr" \
-    --trace "$realio_tmp/trace.lfr" --io real --volumes 2 --prefetch 2
+    --trace "$realio_tmp/trace.lfr" --io real --volumes 2 --prefetch 2 \
+    --rate 8
   ./build/liferaft_tool inspect --store "$realio_tmp/cat.lfr" \
     --verify-checksums --volumes 2
   echo "real-io smoke OK"
